@@ -5,8 +5,6 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use anyscan::explore::EpsilonExplorer;
-use anyscan::hierarchy::EpsilonHierarchy;
 use anyscan::telemetry::MetaValue;
 use anyscan::{
     anyscan, AnyScan, AnyScanConfig, Checkpoint, Counter, PartialResult, Phase, Recorder,
@@ -176,6 +174,17 @@ fn scan_params(opts: &Options) -> Result<ScanParams, String> {
         return Err("--mu must be >= 1".into());
     }
     Ok(ScanParams::new(eps, mu))
+}
+
+/// Validates an (ε, μ) parameter grid with the same rules as [`scan_params`].
+fn check_grid(eps_grid: &[f64], mu_grid: &[usize]) -> CmdResult {
+    if let Some(eps) = eps_grid.iter().find(|&&e| !(e > 0.0 && e <= 1.0)) {
+        return Err(format!("--eps must be in (0,1], got {eps}"));
+    }
+    if mu_grid.contains(&0) {
+        return Err("--mu must be >= 1".into());
+    }
+    Ok(())
 }
 
 /// Builds the run's cancellation token from `--deadline-ms` / `--max-blocks`
@@ -530,11 +539,12 @@ pub fn explore(opts: &Options) -> CmdResult {
         .get_list::<f64>("eps")?
         .unwrap_or_else(|| vec![0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]);
     let mu_grid = opts.get_list::<usize>("mu")?.unwrap_or_else(|| vec![5]);
+    check_grid(&eps_grid, &mu_grid)?;
     let start = Instant::now();
-    let ex = EpsilonExplorer::new(&g, threads);
+    let idx = SimilarityIndex::build(&g, threads);
     println!(
         "precomputed {} edge similarities in {:?}\n",
-        ex.num_edges(),
+        idx.num_edges(),
         start.elapsed()
     );
     println!(
@@ -543,7 +553,7 @@ pub fn explore(opts: &Options) -> CmdResult {
     );
     for &mu in &mu_grid {
         for &eps in &eps_grid {
-            let p = ex.summarize(ScanParams::new(eps, mu));
+            let p = idx.summarize(&g, ScanParams::new(eps, mu));
             println!(
                 "{:>6} {:>4} {:>9} {:>9} {:>9} {:>9} {:>9}",
                 eps, mu, p.clusters, p.cores, p.borders, p.noise, p.largest_cluster
@@ -557,20 +567,21 @@ pub fn hierarchy(opts: &Options) -> CmdResult {
     let (g, perm) = load_graph_reordered(opts)?;
     let mu: usize = opts.get_or("mu", 5)?;
     let threads: usize = opts.get_or("threads", 1)?;
-    let start = Instant::now();
-    let h = EpsilonHierarchy::build(&g, mu, threads);
-    println!(
-        "hierarchy built in {:?}: {} merge events (mu = {})",
-        start.elapsed(),
-        h.merges().len(),
-        h.mu()
-    );
     let grid = opts
         .get_list::<f64>("eps")?
         .unwrap_or_else(|| (1..=9).map(|i| i as f64 / 10.0).collect());
-    let counts = h.cluster_counts(&grid);
+    check_grid(&grid, &[mu])?;
+    let start = Instant::now();
+    let idx = SimilarityIndex::build(&g, threads);
+    let merges = idx.merge_events(mu);
+    println!(
+        "hierarchy built in {:?}: {} merge events (mu = {mu})",
+        start.elapsed(),
+        merges.len()
+    );
     println!("{:>6} {:>9}", "eps", "clusters");
-    for (e, c) in grid.iter().zip(&counts) {
+    for &e in &grid {
+        let c = idx.query(&g, ScanParams::new(e, mu)).num_clusters();
         println!("{e:>6} {c:>9}");
     }
     // Show the top of the dendrogram.
@@ -578,7 +589,7 @@ pub fn hierarchy(opts: &Options) -> CmdResult {
         "
 first merges (highest ε):"
     );
-    for m in h.merges().iter().take(opts.get_or("top", 10)?) {
+    for m in merges.iter().take(opts.get_or("top", 10)?) {
         println!(
             "  eps={:.4}: {} -- {}",
             m.epsilon,
@@ -668,14 +679,7 @@ pub fn index_query(opts: &Options) -> CmdResult {
     };
     let eps_grid = opts.get_list::<f64>("eps")?.ok_or("missing --eps")?;
     let mu_grid = opts.get_list::<usize>("mu")?.ok_or("missing --mu")?;
-    for &eps in &eps_grid {
-        if !(eps > 0.0 && eps <= 1.0) {
-            return Err(format!("--eps must be in (0,1], got {eps}"));
-        }
-    }
-    if mu_grid.contains(&0) {
-        return Err("--mu must be >= 1".into());
-    }
+    check_grid(&eps_grid, &mu_grid)?;
     let trace_path = opts.get_str("trace-json");
     let telemetry = if trace_path.is_some() {
         Telemetry::enabled()

@@ -27,7 +27,8 @@
 //! The serve daemon builds its `ApplyUpdates` opcode on [`DynamicIndex`]
 //! (epoch-swapped behind its read path), the CLI's `mutate`/`replay`
 //! commands and the loadgen `update:` mix generate and drive traffic, and
-//! `bench_pr8` measures the repair-vs-rebuild crossover.
+//! `perfbench`'s `serve-mixed` workload measures batch repair per layer
+//! (see `perfbench/README.md`).
 //!
 //! [`CsrGraph`]: anyscan_graph::CsrGraph
 //! [`SimilarityIndex::apply_patches`]: anyscan_index::SimilarityIndex::apply_patches

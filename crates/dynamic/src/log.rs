@@ -515,15 +515,15 @@ mod tests {
         // good file intact (short write corrupts the payload -> Corrupt on
         // load of a *fresh* path only; the atomic save of the good file
         // above is untouched by a failed save here).
-        anyscan_faults::configure(
-            "dynamic::log_write",
-            anyscan_faults::FaultAction::IoError,
-            1,
-        );
+        // Scoped, so other tests saving or loading logs concurrently in
+        // this binary neither trip nor consume the faults.
+        let scope = anyscan_faults::FaultScope::new();
+        let io = anyscan_faults::FaultAction::IoError;
+        scope.arm("dynamic::log_write", io, 1);
         assert!(matches!(log.save(&path), Err(DynError::Io(_))));
-        anyscan_faults::configure("dynamic::log_read", anyscan_faults::FaultAction::IoError, 1);
+        scope.arm("dynamic::log_read", io, 1);
         assert!(matches!(UpdateLog::load(&path), Err(DynError::Io(_))));
-        anyscan_faults::clear();
+        drop(scope);
         assert_eq!(
             UpdateLog::load(&path).unwrap(),
             log,

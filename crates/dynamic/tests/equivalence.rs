@@ -220,7 +220,9 @@ fn crash_mid_batch_resume_converges() {
     // panics (crash between durability points): each save hits the
     // `dynamic::log_write` site twice (inject_io + inject_write), so hit 3
     // is save #2's entry point.
-    anyscan_faults::configure("dynamic::log_write", anyscan_faults::FaultAction::Panic, 3);
+    // Scoped to this test: the other tests of this binary run concurrently.
+    let scope = anyscan_faults::FaultScope::new();
+    scope.arm("dynamic::log_write", anyscan_faults::FaultAction::Panic, 3);
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut engine = DynamicIndex::new(&base, 2).unwrap();
         let mut log = UpdateLog::new(&base);
@@ -230,7 +232,7 @@ fn crash_mid_batch_resume_converges() {
             log.save(&path).unwrap();
         }
     }));
-    anyscan_faults::clear();
+    drop(scope);
     assert!(crashed.is_err(), "the injected panic must fire");
 
     // Recovery: the durable log holds exactly batch 1; replay it, then feed

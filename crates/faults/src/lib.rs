@@ -41,8 +41,16 @@
 //! | `repl::recv_entry`    | io    | replica's read of a replicated frame fails |
 //!
 //! When nothing is armed the per-site check is two relaxed atomic loads.
+//!
+//! `ANYSCAN_FAULTS` and [`configure`] arm a site process-wide. A test that
+//! shares its binary with other users of a site arms it through a
+//! [`FaultScope`] instead: the fault then counts and fires only on hits
+//! inside the scope — its thread, plus the worker-pool jobs that thread
+//! submits (executors carry the scope with [`in_scope`]).
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -65,32 +73,66 @@ struct FaultSpec {
     action: FaultAction,
     /// 1-based hit at which the fault fires (exactly once).
     at_hit: u64,
+    /// Hits counted so far.
+    hits: u64,
 }
 
+/// Identifies a fault scope; the default is the process-wide one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ScopeId(u64);
+
+/// Armed specs keyed by `(scope, site)`.
 #[derive(Default)]
-struct Registry {
-    specs: HashMap<String, FaultSpec>,
-    hits: HashMap<String, u64>,
+struct Registry(HashMap<(ScopeId, String), FaultSpec>);
+
+impl Registry {
+    /// Counts one hit of `site` in `scope`; the action if the spec is due.
+    fn hit(&mut self, scope: ScopeId, site: &str) -> Option<FaultAction> {
+        let spec = self.0.get_mut(&(scope, site.to_string()))?;
+        spec.hits += 1;
+        (spec.hits == spec.at_hit).then_some(spec.action)
+    }
+
+    fn arm(&mut self, scope: ScopeId, site: &str, action: FaultAction, at_hit: u64) {
+        let spec = FaultSpec {
+            action,
+            at_hit: at_hit.max(1),
+            hits: 0,
+        };
+        self.0.insert((scope, site.to_string()), spec);
+        ARMED.store(true, Ordering::Release);
+    }
+
+    fn disarm(&mut self, scope: ScopeId) {
+        self.0.retain(|(s, _), _| *s != scope);
+        ARMED.store(!self.0.is_empty(), Ordering::Release);
+    }
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static INJECTED: AtomicU64 = AtomicU64::new(0);
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
 static STATE: OnceLock<Mutex<Registry>> = OnceLock::new();
 
-fn state() -> &'static Mutex<Registry> {
-    STATE.get_or_init(|| {
+thread_local! {
+    static CURRENT: Cell<ScopeId> = const { Cell::new(ScopeId(0)) };
+}
+
+fn state() -> std::sync::MutexGuard<'static, Registry> {
+    let reg = STATE.get_or_init(|| {
         let mut reg = Registry::default();
-        if let Ok(raw) = std::env::var(ENV_VAR) {
-            match parse_spec(&raw) {
-                Ok(specs) => reg.specs = specs,
-                Err(e) => eprintln!("warning: ignoring {ENV_VAR}: {e}"),
+        match std::env::var(ENV_VAR).map(|raw| parse_spec(&raw)) {
+            Ok(Ok(specs)) => {
+                for (site, spec) in specs {
+                    reg.arm(ScopeId::default(), &site, spec.action, spec.at_hit);
+                }
             }
-        }
-        if !reg.specs.is_empty() {
-            ARMED.store(true, Ordering::Release);
+            Ok(Err(e)) => eprintln!("warning: ignoring {ENV_VAR}: {e}"),
+            Err(_) => {}
         }
         Mutex::new(reg)
-    })
+    });
+    reg.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 fn parse_spec(raw: &str) -> Result<HashMap<String, FaultSpec>, String> {
@@ -123,23 +165,28 @@ fn parse_spec(raw: &str) -> Result<HashMap<String, FaultSpec>, String> {
                 None => return Err(format!("{entry:?}: unknown action {other:?}")),
             },
         };
-        specs.insert(site.trim().to_string(), FaultSpec { action, at_hit });
+        let spec = FaultSpec {
+            action,
+            at_hit,
+            hits: 0,
+        };
+        specs.insert(site.trim().to_string(), spec);
     }
     Ok(specs)
 }
 
 /// Checks the failpoint `site`; returns the action to apply if it fires.
 ///
-/// Each call against an armed site advances that site's hit counter; the
-/// spec fires exactly once, on its configured hit. Near-zero cost when no
-/// fault is armed.
+/// Each call against an armed site advances that site's hit counter (the
+/// process-wide spec's, and the current scope's); a spec fires exactly
+/// once, on its configured hit. Near-zero cost when no fault is armed.
 #[inline]
 pub fn trigger(site: &str) -> Option<FaultAction> {
     if !ARMED.load(Ordering::Acquire) {
         if STATE.get().is_some() {
             return None;
         }
-        state(); // first call: parse the environment once
+        drop(state()); // first call: parse the environment once
         if !ARMED.load(Ordering::Acquire) {
             return None;
         }
@@ -149,16 +196,15 @@ pub fn trigger(site: &str) -> Option<FaultAction> {
 
 #[cold]
 fn trigger_slow(site: &str) -> Option<FaultAction> {
-    let mut reg = state().lock().unwrap_or_else(|p| p.into_inner());
-    let spec = *reg.specs.get(site)?;
-    let hits = reg.hits.entry(site.to_string()).or_insert(0);
-    *hits += 1;
-    if *hits == spec.at_hit {
+    let scope = current_scope();
+    let mut reg = state();
+    let global = reg.hit(ScopeId::default(), site);
+    let scoped = (scope != ScopeId::default()).then(|| reg.hit(scope, site));
+    let fired = scoped.flatten().or(global);
+    if fired.is_some() {
         INJECTED.fetch_add(1, Ordering::Relaxed);
-        Some(spec.action)
-    } else {
-        None
     }
+    fired
 }
 
 /// Checks a read/open-style failpoint: `IoError` (and, degenerately, any
@@ -205,26 +251,69 @@ pub fn injected() -> u64 {
     INJECTED.load(Ordering::Relaxed)
 }
 
-/// Programmatically arms a failpoint (tests). `at_hit` is 1-based.
+/// Programmatically arms a failpoint process-wide (tests whose binary has
+/// no other user of `site`). `at_hit` is 1-based.
 pub fn configure(site: &str, action: FaultAction, at_hit: u64) {
-    let mut reg = state().lock().unwrap_or_else(|p| p.into_inner());
-    reg.specs.insert(
-        site.to_string(),
-        FaultSpec {
-            action,
-            at_hit: at_hit.max(1),
-        },
-    );
-    reg.hits.remove(site);
-    ARMED.store(true, Ordering::Release);
+    state().arm(ScopeId::default(), site, action, at_hit);
 }
 
-/// Disarms every failpoint and resets hit counters (tests).
+/// Disarms every process-wide failpoint (tests); scoped ones stay armed.
 pub fn clear() {
-    let mut reg = state().lock().unwrap_or_else(|p| p.into_inner());
-    reg.specs.clear();
-    reg.hits.clear();
-    ARMED.store(false, Ordering::Release);
+    state().disarm(ScopeId::default());
+}
+
+/// The fault scope the current thread runs in.
+pub fn current_scope() -> ScopeId {
+    CURRENT.with(Cell::get)
+}
+
+/// Runs `f` in `scope` on the current thread, restoring the previous scope
+/// afterwards (also on unwind).
+pub fn in_scope<R>(scope: ScopeId, f: impl FnOnce() -> R) -> R {
+    let _restore = Restore(CURRENT.with(|c| c.replace(scope)));
+    f()
+}
+
+struct Restore(ScopeId);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.set(self.0));
+    }
+}
+
+/// An RAII fault scope, entered on the creating thread until it drops;
+/// dropping it disarms its faults and restores the previous scope.
+pub struct FaultScope {
+    id: ScopeId,
+    _restore: Restore,
+    /// Entered on one thread's stack: neither `Send` nor `Sync`.
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl FaultScope {
+    /// Opens a fresh, empty scope and enters it on the current thread.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> FaultScope {
+        let id = ScopeId(NEXT_SCOPE.fetch_add(1, Ordering::Relaxed));
+        FaultScope {
+            id,
+            _restore: Restore(CURRENT.with(|c| c.replace(id))),
+            _thread_bound: PhantomData,
+        }
+    }
+
+    /// Arms `site` in this scope; `at_hit` (1-based) counts only the
+    /// scope's own hits.
+    pub fn arm(&self, site: &str, action: FaultAction, at_hit: u64) {
+        state().arm(self.id, site, action, at_hit);
+    }
+}
+
+impl Drop for FaultScope {
+    fn drop(&mut self) {
+        state().disarm(self.id);
+    }
 }
 
 #[cfg(test)]
@@ -276,5 +365,24 @@ mod tests {
 
         clear();
         assert!(inject_io("t::io").is_ok());
+
+        // Scoped arming: only hits inside the scope count and fire.
+        let scope = FaultScope::new();
+        let id = current_scope();
+        assert_ne!(id, ScopeId::default());
+        scope.arm("s::site", FaultAction::IoError, 2);
+        let outside = std::thread::spawn(|| (0..3).all(|_| trigger("s::site").is_none()));
+        assert!(outside.join().unwrap(), "unscoped thread must not fire");
+        assert_eq!(trigger("s::site"), None); // scope hit 1
+        let carried = std::thread::spawn(move || in_scope(id, || trigger("s::site")));
+        assert_eq!(carried.join().unwrap(), Some(FaultAction::IoError)); // hit 2
+        assert_eq!(trigger("s::site"), None); // fires exactly once
+        scope.arm("s::io", FaultAction::IoError, 1);
+        clear(); // process-wide clear leaves scoped specs armed
+        assert!(inject_io("s::io").is_err());
+        scope.arm("s::io", FaultAction::IoError, 1);
+        drop(scope);
+        assert_eq!(current_scope(), ScopeId::default());
+        assert!(inject_io("s::io").is_ok(), "dropping the scope disarms it");
     }
 }

@@ -33,11 +33,18 @@
 //! The index serializes next to the CSR graph format (`io`, magic `"ASIX"`)
 //! and is wired through telemetry (`index_build` / `index_query` spans plus
 //! the `index_*` counters), the CLI (`anyscan index build|query`,
-//! `interactive --index`) and the `bench_pr3` harness.
+//! `interactive --index`, `explore`, `hierarchy`) and the `perfbench`
+//! harness (see `perfbench/README.md`). It is the workspace's one "σ once,
+//! answer many (ε, μ)" structure: [`explore`] grids and the [`hierarchy`]
+//! dendrogram are read off it, and `anyscan-dynamic` repairs it in place.
 
+pub mod explore;
+pub mod hierarchy;
 pub mod io;
 pub mod repair;
 
+pub use explore::SweepPoint;
+pub use hierarchy::MergeEvent;
 pub use repair::NeighborOrderPatch;
 
 use anyscan_dsu::DsuSeq;

@@ -2,21 +2,24 @@
 
 use std::collections::HashMap;
 
-/// A dense contingency table built from two aligned label slices: cell
+/// A sparse contingency table built from two aligned label slices: cell
 /// `(i, j)` counts items labeled `i` by the first partition and `j` by the
-/// second (labels are remapped to dense indices internally).
+/// second (labels are remapped to dense indices internally). Only non-zero
+/// cells are stored, row by row, so the size is `O(n)` however many labels
+/// either side has (e.g. one singleton label per unclustered vertex).
 #[derive(Debug, Clone)]
 pub struct ContingencyTable {
-    cells: Vec<u64>,
-    rows: usize,
-    cols: usize,
+    /// Row `r`'s cells are `cells[row_offsets[r]..row_offsets[r + 1]]`.
+    row_offsets: Vec<usize>,
+    /// Non-zero cells `(col, count)`, ascending by column within each row.
+    cells: Vec<(usize, u64)>,
     row_sums: Vec<u64>,
     col_sums: Vec<u64>,
     total: u64,
 }
 
 impl ContingencyTable {
-    /// Builds the table in `O(n)` expected time.
+    /// Builds the table in `O(n log n)` time and `O(n)` space.
     pub fn new(a: &[u32], b: &[u32]) -> Self {
         assert_eq!(a.len(), b.len());
         let mut row_ids: HashMap<u32, usize> = HashMap::new();
@@ -30,19 +33,34 @@ impl ContingencyTable {
             pairs.push((r, c));
         }
         let rows = row_ids.len();
-        let cols = col_ids.len();
-        let mut cells = vec![0u64; rows * cols];
         let mut row_sums = vec![0u64; rows];
-        let mut col_sums = vec![0u64; cols];
-        for (r, c) in pairs {
-            cells[r * cols + c] += 1;
+        let mut col_sums = vec![0u64; col_ids.len()];
+        // Row-major order: `cells()` then yields a fixed order, so the
+        // floating-point sums the metrics take over it are reproducible.
+        pairs.sort_unstable();
+        let mut row_offsets = Vec::with_capacity(rows + 1);
+        row_offsets.push(0);
+        let mut cells: Vec<(usize, u64)> = Vec::new();
+        for (i, &(r, c)) in pairs.iter().enumerate() {
             row_sums[r] += 1;
             col_sums[c] += 1;
+            if i > 0 && pairs[i - 1] == (r, c) {
+                cells.last_mut().expect("run has a cell").1 += 1;
+                continue;
+            }
+            // Rows are dense indices and every row has an item, so a new
+            // row starts exactly when `r` advances by one.
+            if i > 0 && pairs[i - 1].0 != r {
+                row_offsets.push(cells.len());
+            }
+            cells.push((c, 1));
+        }
+        if rows > 0 {
+            row_offsets.push(cells.len());
         }
         ContingencyTable {
+            row_offsets,
             cells,
-            rows,
-            cols,
             row_sums,
             col_sums,
             total: a.len() as u64,
@@ -51,12 +69,12 @@ impl ContingencyTable {
 
     /// Number of distinct labels in the first partition.
     pub fn num_rows(&self) -> usize {
-        self.rows
+        self.row_sums.len()
     }
 
     /// Number of distinct labels in the second partition.
     pub fn num_cols(&self) -> usize {
-        self.cols
+        self.col_sums.len()
     }
 
     /// Total number of items.
@@ -64,9 +82,9 @@ impl ContingencyTable {
         self.total
     }
 
-    /// One row of counts.
-    pub fn row(&self, r: usize) -> &[u64] {
-        &self.cells[r * self.cols..(r + 1) * self.cols]
+    /// The non-zero cells `(col, count)` of one row, ascending by column.
+    pub fn row(&self, r: usize) -> &[(usize, u64)] {
+        &self.cells[self.row_offsets[r]..self.row_offsets[r + 1]]
     }
 
     /// Marginal counts of the first partition.
@@ -79,13 +97,9 @@ impl ContingencyTable {
         &self.col_sums
     }
 
-    /// Iterator over non-empty cells `(row, col, count)`.
+    /// Iterator over non-empty cells `(row, col, count)` in row-major order.
     pub fn cells(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(move |(idx, &c)| (idx / self.cols, idx % self.cols, c))
+        (0..self.num_rows()).flat_map(move |r| self.row(r).iter().map(move |&(c, n)| (r, c, n)))
     }
 
     /// Shannon entropy (nats) of the first partition's marginal.
@@ -160,6 +174,16 @@ mod tests {
         let a = [0, 0, 1, 1, 2, 2, 2];
         let t = ContingencyTable::new(&a, &a);
         assert!((t.mutual_information() - t.entropy_rows()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rows_hold_only_non_zero_cells() {
+        let a = [0, 0, 1, 1, 1, 2];
+        let b = [5, 6, 6, 6, 7, 7];
+        let t = ContingencyTable::new(&a, &b);
+        assert_eq!(t.row(0), &[(0, 1), (1, 1)]);
+        assert_eq!(t.row(1), &[(1, 2), (2, 1)]);
+        assert_eq!(t.row(2), &[(2, 1)]);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub fn purity(a: &[u32], b: &[u32]) -> f64 {
     let t = ContingencyTable::new(a, b);
     let mut correct = 0u64;
     for row in 0..t.num_rows() {
-        correct += t.row(row).iter().copied().max().unwrap_or(0);
+        correct += t.row(row).iter().map(|&(_, c)| c).max().unwrap_or(0);
     }
     correct as f64 / a.len() as f64
 }
@@ -209,6 +209,20 @@ mod tests {
         assert_eq!(nmi(&[0, 0, 0, 0], &[0, 0, 1, 1]), 0.0);
         assert_eq!(adjusted_rand_index(&[7], &[3]), 1.0);
         assert_eq!(pair_f1(&[0, 1, 2], &[5, 6, 7]), 1.0);
+    }
+
+    #[test]
+    fn scores_200k_singletons_without_a_dense_table() {
+        // `anyscan-compare-labels` maps every noise vertex to its own
+        // label; an all-noise prediction on a 200k-vertex graph must score
+        // in linear space.
+        let n = 200_000u32;
+        let singletons: Vec<u32> = (0..n).collect();
+        let truth: Vec<u32> = (0..n).map(|v| v % 40).collect();
+        assert_eq!(pair_precision_recall(&singletons, &truth), (1.0, 0.0));
+        assert_eq!(pair_precision_recall(&singletons, &singletons), (1.0, 1.0));
+        assert!(adjusted_rand_index(&singletons, &truth).abs() < 1e-9);
+        assert!(purity(&singletons, &truth) == 1.0);
     }
 
     #[test]

@@ -159,6 +159,9 @@ struct Job {
     /// note above.
     body: *const (dyn Fn(usize, Range<usize>) + Sync),
     panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The submitter's failpoint scope, entered by every participant so a
+    /// scoped fault fires only in jobs its owner submitted.
+    fault_scope: anyscan_faults::ScopeId,
 }
 
 // SAFETY: `body` points at a `Sync` closure that outlives the job (enforced
@@ -209,13 +212,15 @@ impl Job {
         // reaches zero, which cannot happen before this call returns.
         let body = unsafe { &*self.body };
         let mut chunks = 0u64;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            anyscan_faults::fire_panic("pool::job");
-            while let Some(range) = self.claim() {
-                chunks += 1;
-                body(slot, range);
-            }
-        }));
+        let result = anyscan_faults::in_scope(self.fault_scope, || {
+            catch_unwind(AssertUnwindSafe(|| {
+                anyscan_faults::fire_panic("pool::job");
+                while let Some(range) = self.claim() {
+                    chunks += 1;
+                    body(slot, range);
+                }
+            }))
+        });
         if let Err(payload) = result {
             // Fast-forward the cursor so co-workers stop claiming, then
             // record the first panic for the submitter to re-raise.
@@ -447,6 +452,7 @@ impl WorkerPool {
             pending: AtomicUsize::new(t),
             body: body_ptr,
             panic: Mutex::new(None),
+            fault_scope: anyscan_faults::current_scope(),
         };
 
         let _submit = lock_pool(&self.submit);
@@ -1006,10 +1012,13 @@ mod tests {
         // The `pool::job` failpoint panics inside a worker's claim loop;
         // `try_run` must hand it back as a typed error and leave the pool
         // dispatchable.
+        // The fault is scoped to this test, so pool jobs other tests submit
+        // concurrently can neither trip nor consume it.
         let pool = WorkerPool::new();
-        anyscan_faults::configure("pool::job", anyscan_faults::FaultAction::Panic, 1);
+        let scope = anyscan_faults::FaultScope::new();
+        scope.arm("pool::job", anyscan_faults::FaultAction::Panic, 1);
         let err = pool.try_run(4, 100, ChunkPolicy::Fixed(1), |_, _| {});
-        anyscan_faults::clear();
+        drop(scope);
         let err = err.expect_err("injected fault must fail the job");
         assert!(
             err.message().contains("injected fault: pool::job"),

@@ -2,9 +2,11 @@
 //! connection read must kill only that connection — counted as a protocol
 //! error — while the daemon keeps serving.
 //!
-//! This file is its own test binary (own process) because failpoints are
-//! process-global; the client side deliberately frames by hand so the
-//! daemon's `read_frame` is the only caller that can consume the fault.
+//! The fault is armed process-wide, not through a `FaultScope`: it fires on
+//! the daemon's connection threads, which run outside any test's scope. So
+//! this file is its own test binary (own process) with a single test, and
+//! the client side deliberately frames by hand so the daemon's `read_frame`
+//! is the only caller that can consume the fault.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -95,7 +95,8 @@ fn apply_one(conn: &mut TcpStream, u: u32, v: u32) -> u64 {
 }
 
 /// One sequential pass over all three fault sites. A single test function:
-/// failpoints are global state, so concurrent #[test]s would race for hits.
+/// the sites fire on daemon threads outside any `FaultScope`, so they are
+/// armed process-wide and concurrent #[test]s would race for hits.
 #[test]
 fn replica_feed_retries_through_every_replication_fault_site() {
     let primary = start(None);

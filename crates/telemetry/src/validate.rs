@@ -9,17 +9,14 @@
 use crate::json::JsonValue;
 use crate::{Counter, NUM_VERTEX_STATES};
 
-/// Phases a `BlockSnapshot` may legally carry. Mirrors the driver's
-/// `Phase` enum plus the explore/hierarchy entry points.
+/// Phases a `BlockSnapshot` may legally carry: exactly the driver's
+/// `Phase` enum, the only producer of anytime snapshots.
 pub const KNOWN_PHASES: &[&str] = &[
     "summarize",
     "merge_strong",
     "merge_weak",
     "borders",
     "resolve_roles",
-    "explore",
-    "hierarchy",
-    "incremental",
 ];
 
 /// Aggregate facts pulled out of a valid trace, for human display.
