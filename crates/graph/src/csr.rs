@@ -213,50 +213,73 @@ impl CsrGraph {
         weights: Vec<Weight>,
         num_edges: u64,
     ) -> Result<CsrGraph, String> {
-        if offsets.is_empty() {
-            return Err("offsets must contain at least the trailing bound".into());
-        }
-        if neighbors.len() != weights.len() || *offsets.last().unwrap() != neighbors.len() {
+        if neighbors.len() != weights.len() {
             return Err("arc arrays disagree with offsets".into());
         }
+        // `from_parts` slices the weights by the offsets, so they must be
+        // bounds-checked first (the loader's rules) or a bad offset panics.
+        crate::io::framing::check_offsets(&offsets, neighbors.len(), "csr")
+            .map_err(|e| e.to_string())?;
         let g = CsrGraph::from_parts(offsets, neighbors, weights, num_edges);
         g.check_invariants()?;
         Ok(g)
     }
 
-    /// Validates every CSR invariant; used by tests and the binary loader.
+    /// Validates every CSR invariant; used by tests, the binary loader and
+    /// [`CsrGraph::from_sorted_rows`].
+    ///
+    /// One forward pass, `O(|V| + arcs)`, with no per-arc search for the
+    /// reverse arc: `cursor[v]` walks `v`'s below-self prefix. Visiting `u`
+    /// in ascending order, each arc `(u, v)` with `v > u` must meet `u`, with
+    /// the same weight, at `cursor[v]`, which then advances. When the pass
+    /// reaches `u`, `cursor[u]` must sit on `u`'s self-loop: every arc of
+    /// `u` below `u` was met by its reverse.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.num_vertices();
         if self.offsets[0] != 0 {
             return Err("offsets must start at 0".into());
         }
-        for v in 0..n {
-            if self.offsets[v] > self.offsets[v + 1] {
-                return Err(format!("offsets not monotone at {v}"));
-            }
-            let ids = self.neighbor_ids(v as VertexId);
-            if ids.binary_search(&(v as VertexId)).is_err() {
-                return Err(format!("vertex {v} lacks its self-loop"));
-            }
-            for w in ids.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("adjacency of {v} not strictly sorted"));
+        if let Some(v) = (0..n).find(|&v| self.offsets[v] > self.offsets[v + 1]) {
+            return Err(format!("offsets not monotone at {v}"));
+        }
+        let (ids, weights) = (&self.neighbors, &self.weights);
+        let mut cursor: Vec<EdgeId> = self.offsets[..n].to_vec();
+        for u in 0..n {
+            let me = u as VertexId;
+            let mut has_self_loop = false;
+            for i in self.offsets[u]..self.offsets[u + 1] {
+                let (v, w) = (ids[i], weights[i]);
+                if i > self.offsets[u] && ids[i - 1] >= v {
+                    return Err(format!("adjacency of {u} not strictly sorted"));
                 }
-            }
-            for (u, w) in self.neighbors(v as VertexId) {
-                if u as usize >= n {
-                    return Err(format!("neighbor {u} of {v} out of range"));
+                if v as usize >= n {
+                    return Err(format!("neighbor {v} of {u} out of range"));
                 }
                 if w <= 0.0 || !w.is_finite() {
-                    return Err(format!("weight of ({v},{u}) invalid: {w}"));
+                    return Err(format!("weight of ({u},{v}) invalid: {w}"));
                 }
-                if u as usize != v {
-                    match self.edge_weight(u, v as VertexId) {
-                        Some(back) if back == w => {}
-                        Some(_) => return Err(format!("asymmetric weight on ({v},{u})")),
-                        None => return Err(format!("missing reverse arc ({u},{v})")),
+                if v < me {
+                    continue; // met by its reverse when the pass was at `v`
+                }
+                if v == me {
+                    if cursor[u] != i {
+                        let x = ids[cursor[u]];
+                        return Err(format!("missing reverse arc ({x},{u})"));
                     }
+                    has_self_loop = true;
+                    continue;
                 }
+                let c = cursor[v as usize];
+                if c >= self.offsets[v as usize + 1] || ids[c] != me {
+                    return Err(format!("missing reverse arc ({v},{u})"));
+                }
+                if weights[c] != w {
+                    return Err(format!("asymmetric weight on ({u},{v})"));
+                }
+                cursor[v as usize] = c + 1;
+            }
+            if !has_self_loop {
+                return Err(format!("vertex {u} lacks its self-loop"));
             }
         }
         let arcs_excl_self = self.num_arcs() - n;
@@ -272,7 +295,256 @@ impl CsrGraph {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::CsrGraph;
+    use crate::gen::{erdos_renyi, WeightModel};
+    use crate::types::{EdgeId, VertexId, Weight};
     use crate::GraphBuilder;
+
+    /// Reference for `check_invariants`: the direct formulation, where
+    /// every arc binary-searches its reverse in the other endpoint's row.
+    fn reference_check(g: &CsrGraph) -> Result<(), String> {
+        let n = g.num_vertices();
+        if g.offsets[0] != 0 {
+            return Err("offsets must start at 0".into());
+        }
+        for v in 0..n {
+            if g.offsets[v] > g.offsets[v + 1] {
+                return Err(format!("offsets not monotone at {v}"));
+            }
+            let ids = g.neighbor_ids(v as VertexId);
+            if ids.binary_search(&(v as VertexId)).is_err() {
+                return Err(format!("vertex {v} lacks its self-loop"));
+            }
+            for w in ids.windows(2) {
+                if w[0] >= w[1] {
+                    return Err(format!("adjacency of {v} not strictly sorted"));
+                }
+            }
+            for (u, w) in g.neighbors(v as VertexId) {
+                if u as usize >= n {
+                    return Err(format!("neighbor {u} of {v} out of range"));
+                }
+                if w <= 0.0 || !w.is_finite() {
+                    return Err(format!("weight of ({v},{u}) invalid: {w}"));
+                }
+                if u as usize != v {
+                    match g.edge_weight(u, v as VertexId) {
+                        Some(back) if back == w => {}
+                        Some(_) => return Err(format!("asymmetric weight on ({v},{u})")),
+                        None => return Err(format!("missing reverse arc ({u},{v})")),
+                    }
+                }
+            }
+        }
+        let arcs_excl_self = g.num_arcs() - n;
+        if arcs_excl_self as u64 != 2 * g.num_edges {
+            return Err(format!(
+                "edge count mismatch: {} arcs (excl. self) vs num_edges={}",
+                arcs_excl_self, g.num_edges
+            ));
+        }
+        Ok(())
+    }
+
+    /// A graph's raw CSR arrays, to corrupt one entry at a time.
+    #[derive(Clone)]
+    struct Rows {
+        offsets: Vec<EdgeId>,
+        ids: Vec<VertexId>,
+        weights: Vec<Weight>,
+        num_edges: u64,
+    }
+
+    impl Rows {
+        fn of(g: &CsrGraph) -> Rows {
+            let (offsets, ids, weights, num_edges) = g.raw_parts();
+            Rows {
+                offsets: offsets.to_vec(),
+                ids: ids.to_vec(),
+                weights: weights.to_vec(),
+                num_edges,
+            }
+        }
+
+        /// The vertex whose row holds arc `i`.
+        fn owner(&self, i: usize) -> usize {
+            self.offsets.partition_point(|&o| o <= i) - 1
+        }
+
+        fn remove(&mut self, i: usize) {
+            let v = self.owner(i);
+            self.ids.remove(i);
+            self.weights.remove(i);
+            self.offsets[v + 1..].iter_mut().for_each(|o| *o -= 1);
+        }
+
+        /// Inserts an arc into `v`'s row at row position `pos`.
+        fn insert(&mut self, v: usize, pos: usize, id: VertexId, w: Weight) {
+            let i = self.offsets[v] + pos;
+            self.ids.insert(i, id);
+            self.weights.insert(i, w);
+            self.offsets[v + 1..].iter_mut().for_each(|o| *o += 1);
+        }
+
+        /// Both checks' verdicts, asserted equal.
+        fn assert_checks_agree(self, what: &str) -> bool {
+            let reference = reference_check(&CsrGraph::from_parts(
+                self.offsets.clone(),
+                self.ids.clone(),
+                self.weights.clone(),
+                self.num_edges,
+            ));
+            let one_pass =
+                CsrGraph::from_sorted_rows(self.offsets, self.ids, self.weights, self.num_edges);
+            assert_eq!(
+                one_pass.is_ok(),
+                reference.is_ok(),
+                "{what}: one-pass {:?} vs reference {:?}",
+                one_pass.err(),
+                reference.err()
+            );
+            reference.is_ok()
+        }
+    }
+
+    /// Applies every corruption kind at random spots of `g` and checks that
+    /// the one-pass check and the reference accept exactly the same arrays.
+    fn corruptions_agree(g: &CsrGraph, rng: &mut StdRng) {
+        let base = Rows::of(g);
+        assert!(base.clone().assert_checks_agree("uncorrupted"));
+        let n = g.num_vertices();
+        let arcs = g.num_arcs();
+        let mut rejected = 0;
+        for round in 0..40 {
+            let i = rng.gen_range(0..arcs);
+            let v = base.owner(i);
+            let row = base.offsets[v]..base.offsets[v + 1];
+            let mut cases: Vec<(String, Rows)> = Vec::new();
+
+            let mut r = base.clone();
+            r.remove(i);
+            cases.push((format!("drop arc {i}"), r));
+
+            // One dropped half alone always breaks the arc count; dropping
+            // two with `num_edges` lowered leaves only symmetry to object.
+            let j = rng.gen_range(0..arcs);
+            if j != i {
+                let mut r = base.clone();
+                r.remove(i.max(j));
+                r.remove(i.min(j));
+                r.num_edges = r.num_edges.saturating_sub(1);
+                cases.push((format!("drop arcs {i} and {j}"), r));
+            }
+
+            // Point one arc at another vertex, keeping the row sorted and
+            // the arc count intact.
+            let (lo, hi) = (
+                if i > row.start {
+                    base.ids[i - 1] + 1
+                } else {
+                    0
+                },
+                if i + 1 < row.end {
+                    base.ids[i + 1]
+                } else {
+                    n as VertexId
+                },
+            );
+            if let Some(x) = (lo..hi).find(|&x| x != base.ids[i] && x != v as VertexId) {
+                let mut r = base.clone();
+                r.ids[i] = x;
+                cases.push((format!("retarget arc {i} to {x}"), r));
+            }
+
+            // Add one half of an arc to a vertex it is not adjacent to.
+            let x = rng.gen_range(0..n as VertexId);
+            let ids = &base.ids[row.clone()];
+            if let Err(pos) = ids.binary_search(&x) {
+                let mut r = base.clone();
+                r.insert(v, pos, x, 0.5);
+                cases.push((format!("add half arc ({v},{x})"), r));
+            }
+
+            for w in [base.weights[i] + 0.25, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let mut r = base.clone();
+                r.weights[i] = w;
+                cases.push((format!("weight {w} on arc {i}"), r));
+            }
+
+            if row.len() >= 2 {
+                let j = rng.gen_range(row.start..row.end - 1);
+                let mut r = base.clone();
+                r.ids.swap(j, j + 1);
+                cases.push((format!("swap ids {j},{}", j + 1), r));
+
+                let mut r = base.clone();
+                r.ids[j + 1] = r.ids[j];
+                r.weights[j + 1] = r.weights[j];
+                cases.push((format!("duplicate id at {j}"), r));
+            }
+
+            let mut r = base.clone();
+            r.remove(row.start + base.ids[row.clone()].partition_point(|&q| q < v as VertexId));
+            cases.push((format!("remove self-loop of {v}"), r));
+
+            let mut r = base.clone();
+            r.ids[row.end - 1] = n as VertexId + round % 3;
+            cases.push((format!("id >= |V| in row {v}"), r));
+
+            let mut r = base.clone();
+            r.ids[i] = n as VertexId;
+            cases.push((format!("id |V| at arc {i}"), r));
+
+            for e in [base.num_edges + 1, base.num_edges.saturating_sub(1)] {
+                let mut r = base.clone();
+                r.num_edges = e;
+                cases.push((format!("num_edges {e}"), r));
+            }
+
+            for (what, r) in cases {
+                if !r.assert_checks_agree(&what) {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(rejected > 0, "no corruption was rejected");
+    }
+
+    #[test]
+    fn one_pass_check_agrees_with_binary_search_reference() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for (n, m) in [(2, 1), (12, 20), (60, 150), (300, 2000)] {
+            let g = erdos_renyi(&mut rng, n, m, WeightModel::uniform_default());
+            corruptions_agree(&g, &mut rng);
+            // Unit weights: a mismatched reverse arc cannot hide behind a
+            // differing weight.
+            let g = erdos_renyi(&mut rng, n, m, WeightModel::Unit);
+            corruptions_agree(&g, &mut rng);
+        }
+        // A star: one hub adjacent to every other vertex, plus a few rim
+        // edges, so most arcs meet the hub's cursor.
+        let n = 200;
+        let mut b = GraphBuilder::new(n);
+        for v in 1..n as VertexId {
+            b.add_edge(0, v, 1.0 + (v % 7) as f64);
+        }
+        for v in (1..n as VertexId - 1).step_by(9) {
+            b.add_edge(v, v + 1, 0.5);
+        }
+        corruptions_agree(&b.build(), &mut rng);
+    }
+
+    #[test]
+    fn from_sorted_rows_rejects_decreasing_offsets() {
+        // `from_parts` slices by the offsets, so they must be checked first.
+        assert!(
+            CsrGraph::from_sorted_rows(vec![0, 2, 1, 2], vec![0, 1], vec![1.0, 1.0], 0).is_err()
+        );
+        assert!(CsrGraph::from_sorted_rows(vec![1, 2], vec![0, 1], vec![1.0, 1.0], 0).is_err());
+    }
 
     fn triangle() -> super::CsrGraph {
         let mut b = GraphBuilder::new(3);

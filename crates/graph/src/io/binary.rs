@@ -145,6 +145,27 @@ mod tests {
     }
 
     #[test]
+    fn rejects_asymmetric_weight_under_a_valid_checksum() {
+        let g = sample();
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        // Double the weight of arc (0, 1) but not of (1, 0), then re-stamp
+        // the trailer so only the CSR check can object.
+        let (offsets, neighbors, weights, _) = g.raw_parts();
+        let arc = 1; // row 0 is [0, 1, 5]
+        assert_eq!(neighbors[arc], 1);
+        let at = 4 + 4 + 24 + offsets.len() * 8 + neighbors.len() * 4 + arc * 8;
+        buf[at..at + 8].copy_from_slice(&(2.0 * weights[arc]).to_le_bytes());
+        buf.truncate(buf.len() - framing::CHECKSUM_LEN);
+        let h = framing::fnv1a(&buf);
+        buf.extend_from_slice(&h.to_le_bytes());
+        assert!(matches!(
+            read_binary(buf.as_slice()),
+            Err(GraphError::Format(_))
+        ));
+    }
+
+    #[test]
     fn reads_legacy_v1_files_without_trailer() {
         let g = sample();
         let mut buf = Vec::new();

@@ -199,9 +199,18 @@ pub fn read_index<R: Read>(mut reader: R) -> Result<SimilarityIndex, GraphError>
     // ids among ties (which also forbids duplicates), and every threshold
     // must equal the μ-th largest σ of its vertex's neighbor order.
     let degree = |v: usize| offsets[v + 1] - offsets[v];
+    // `at_least[μ]` = vertices of closed degree ≥ μ: suffix sums of a degree
+    // histogram whose last bucket holds every degree above μ_max.
+    let mut at_least = vec![0usize; mu_max + 2];
+    for v in 0..n {
+        at_least[degree(v).min(mu_max + 1)] += 1;
+    }
+    for mu in (1..=mu_max).rev() {
+        at_least[mu] += at_least[mu + 1];
+    }
     for mu in 1..=mu_max {
         let r = co_offsets[mu - 1]..co_offsets[mu];
-        let expect = (0..n).filter(|&v| degree(v) >= mu).count();
+        let expect = at_least[mu];
         if r.len() != expect {
             return fail(format!(
                 "core order μ={mu}: {} entries, expected {expect}",
@@ -473,5 +482,28 @@ mod tests {
         let mut broken = buf;
         broken[sig_start + 7] ^= 0x7F;
         assert!(read_index(broken.as_slice()).is_err());
+    }
+
+    #[test]
+    fn rejects_core_order_with_wrong_member_count() {
+        let (_, idx) = sample_index();
+        let mut buf = Vec::new();
+        write_index(&idx, &mut buf).unwrap();
+        // Move the μ=1/μ=2 boundary one entry up: still monotone, but the
+        // μ=1 slice now holds one vertex more than there are vertices.
+        let header = 8 + 32 + 2 + (idx.num_vertices() + 1) * 8;
+        let at = header + idx.num_arcs() * 12 + 8;
+        let boundary = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+        buf[at..at + 8].copy_from_slice(&(boundary + 1).to_le_bytes());
+        buf.truncate(buf.len() - framing::CHECKSUM_LEN);
+        let err = read_index(&with_fresh_trailer(&buf)[..]).unwrap_err();
+        let n = idx.num_vertices();
+        assert_eq!(
+            format!("{err}"),
+            format!(
+                "{}",
+                GraphError::Format(format!("core order μ=1: {} entries, expected {n}", n + 1))
+            )
+        );
     }
 }

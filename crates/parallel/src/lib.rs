@@ -1037,10 +1037,19 @@ mod tests {
         // Slot 0 is the calling thread; a panic there must also be captured
         // after the workers drain, then resumed.
         let pool = WorkerPool::new();
+        let submitter_ran = std::sync::atomic::AtomicBool::new(false);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.run(2, 10, ChunkPolicy::Fixed(1), |slot, _| {
                 if slot == 0 {
+                    submitter_ran.store(true, Ordering::Release);
                     panic!("submitter boom");
+                }
+                // Hold the worker's chunk until the submitter has taken one:
+                // otherwise the worker can drain every chunk before the
+                // submitter joins, and nothing panics.
+                let deadline = Instant::now() + std::time::Duration::from_secs(5);
+                while !submitter_ran.load(Ordering::Acquire) && Instant::now() < deadline {
+                    std::hint::spin_loop();
                 }
             });
         }));

@@ -900,11 +900,14 @@ impl Server {
                 .map_err(|e| CommitError::Internal(format!("update log write failed: {e}")))?;
         }
 
-        let snapshot = state
-            .engine
-            .to_csr()
-            .map_err(|e| CommitError::Internal(format!("epoch snapshot failed: {e}")))?;
-        let index = state.engine.index().clone();
+        let (snapshot, index) = {
+            let _span = self.telemetry.span("serve_epoch_snapshot");
+            let snapshot = state
+                .engine
+                .to_csr()
+                .map_err(|e| CommitError::Internal(format!("epoch snapshot failed: {e}")))?;
+            (snapshot, state.engine.index().clone())
+        };
 
         // Publish durability: subscription threads may ship the batch from
         // this point on.

@@ -367,3 +367,35 @@ fn static_daemon_rejects_apply_updates() {
         other => panic!("unexpected response {other:?}"),
     }
 }
+
+#[test]
+fn commit_records_the_epoch_snapshot_span() {
+    let engine = DynamicIndex::new(&test_graph(), 2).unwrap();
+    let server =
+        Server::new_dynamic(engine, None, ServerConfig::default(), Telemetry::enabled()).unwrap();
+    let snapshot_span = |server: &Server| {
+        server
+            .telemetry()
+            .report()
+            .expect("enabled telemetry yields a report")
+            .span_total("serve_epoch_snapshot")
+    };
+    assert!(snapshot_span(&server).is_none());
+
+    let response = server.dispatch(Request::ApplyUpdates {
+        updates: vec![WireUpdate {
+            kind: UPDATE_INSERT,
+            u: 0,
+            v: 199,
+            w: 0.9,
+        }],
+    });
+    assert!(
+        matches!(response, Response::ApplyUpdates { epoch: 1, .. }),
+        "unexpected response {response:?}"
+    );
+    assert!(
+        snapshot_span(&server).is_some(),
+        "the commit's to_csr and index clone are not traced"
+    );
+}
